@@ -325,8 +325,10 @@ func WithMultiKIterations(n int) Option {
 }
 
 // WithCriterion selects how AlgorithmMultiK picks k (default
-// CriterionElbow). Criteria other than elbow need point-level access and
-// materialize the staged dataset once.
+// CriterionElbow). Elbow and jump choose from the evaluate job's WCSS
+// alone and read no data; BIC and silhouette make one more pass over the
+// staged dataset's decoded splits (one dataset read) to assign every
+// point under each candidate.
 func WithCriterion(cr Criterion) Option {
 	return func(c *config) {
 		switch cr {
@@ -694,6 +696,38 @@ func (c *Clusterer) runMultiK(ctx context.Context, src DataSource, tr *obs.Trace
 		return nil, err
 	}
 	defer st.cleanup()
+	mres, cs, err := c.multiKCandidates(st)
+	if err != nil {
+		return nil, err
+	}
+	readsBefore := st.env.FS.DatasetReads()
+	selSpan := tr.StartSpan("select", "phase").SetArg("criterion", string(c.cfg.criterion))
+	chosen, err := c.selectK(ctx, st.env, st.n, cs)
+	selSpan.SetArg("dataset_reads", st.env.FS.DatasetReads()-readsBefore).End()
+	if err != nil {
+		return nil, err
+	}
+	finSpan := tr.StartSpan("finalize", "phase")
+	defer finSpan.End()
+	counters := mres.Counters.Snapshot()
+	counters[CounterDatasetReads] = st.env.FS.DatasetReads()
+	centers := mres.CentersByK[chosen]
+	return &Result{
+		Algorithm:  AlgorithmMultiK,
+		Centers:    centers,
+		K:          chosen,
+		Iterations: len(mres.IterationTimes),
+		Assignment: assignIfAvailable(src, centers),
+		Counters:   counters,
+		WCSS:       mres.WCSSByK[chosen],
+		WCSSByK:    mres.WCSSByK,
+	}, nil
+}
+
+// multiKCandidates runs multi-k-means and its evaluate job over the staged
+// dataset and returns one candidate clustering per swept k, carrying the
+// evaluate job's WCSS.
+func (c *Clusterer) multiKCandidates(st *staged) (*kmeansmr.MultiResult, []criteria.Clustering, error) {
 	// A k-means candidate needs k distinct seeds, so cap the sweep at the
 	// staged point count: WithKRange(1, 8) over a 3-point dataset sweeps
 	// k=1..3 instead of failing the k=4 seeding.
@@ -723,56 +757,91 @@ func (c *Clusterer) runMultiK(ctx context.Context, src DataSource, tr *obs.Trace
 	}
 	mres, err := kmeansmr.RunMulti(mcfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := kmeansmr.Evaluate(mcfg, mres); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var cs []criteria.Clustering
 	for k := kMin; k <= kMax; k += c.cfg.kStep {
 		cs = append(cs, criteria.Clustering{K: k, Centers: mres.CentersByK[k], WCSS: mres.WCSSByK[k]})
 	}
-	chosen, err := c.selectK(st.env, cs)
+	return mres, cs, nil
+}
+
+// selectK applies the configured criterion to the candidate clusterings of
+// the n staged points. Elbow and jump read only the evaluate job's WCSS
+// and touch no data. BIC needs each candidate's cluster sizes and
+// silhouette the point rows with their assignments, so both make one pass
+// over the staged file (assignCandidates).
+func (c *Clusterer) selectK(ctx context.Context, env kmeansmr.Env, n int, cs []criteria.Clustering) (int, error) {
+	switch c.cfg.criterion {
+	case CriterionElbow:
+		return criteria.ElbowK(cs)
+	case CriterionJump:
+		return criteria.JumpK(cs, n, env.Dim)
+	case CriterionBIC:
+		if _, err := assignCandidates(ctx, env, cs, false); err != nil {
+			return 0, err
+		}
+		return criteria.BICK(cs, n, env.Dim)
+	default:
+		rows, err := assignCandidates(ctx, env, cs, true)
+		if err != nil {
+			return 0, err
+		}
+		return criteria.SilhouetteK(rows, cs, 2000, c.cfg.seed)
+	}
+}
+
+// assignCandidates makes one pass over the staged file's decoded split
+// cache and assigns every point to its nearest center under each
+// candidate with the batch kernel, filling each candidate's Sizes (and,
+// with keepRows, its Assignment). With keepRows it also returns the
+// points in file order as row views into the cache, no copy. The pass
+// counts as one dataset read, and the split opens account the file's bytes,
+// as any MapReduce scan of the input does.
+func assignCandidates(ctx context.Context, env kmeansmr.Env, cs []criteria.Clustering, keepRows bool) ([]vec.Vector, error) {
+	splits, err := env.FS.Splits(env.Input)
 	if err != nil {
 		return nil, err
 	}
-	counters := mres.Counters.Snapshot()
-	counters[CounterDatasetReads] = st.env.FS.DatasetReads()
-	centers := mres.CentersByK[chosen]
-	return &Result{
-		Algorithm:  AlgorithmMultiK,
-		Centers:    centers,
-		K:          chosen,
-		Iterations: len(mres.IterationTimes),
-		Assignment: assignIfAvailable(src, centers),
-		Counters:   counters,
-		WCSS:       mres.WCSSByK[chosen],
-		WCSSByK:    mres.WCSSByK,
-	}, nil
-}
-
-// selectK applies the configured criterion to the candidate clusterings.
-// Criteria beyond elbow need the points and read them back from the staged
-// DFS file (one extra dataset read, materialized in memory).
-func (c *Clusterer) selectK(env kmeansmr.Env, cs []criteria.Clustering) (int, error) {
-	if c.cfg.criterion == CriterionElbow {
-		return criteria.ElbowK(cs)
+	if len(splits) > 0 {
+		env.FS.CountDatasetRead()
 	}
-	points, err := dataset.LoadPoints(env.FS, env.Input)
-	if err != nil {
-		return 0, err
-	}
+	packs := make([]*vec.CenterPack, len(cs))
 	for i := range cs {
-		cs[i].Assignment = lloyd.Assign(points, cs[i].Centers)
+		packs[i] = vec.PackCenters(cs[i].Centers)
+		cs[i].Sizes = make([]int, cs[i].K)
+		cs[i].Assignment = nil
 	}
-	switch c.cfg.criterion {
-	case CriterionJump:
-		return criteria.JumpK(points, cs)
-	case CriterionSilhouette:
-		return criteria.SilhouetteK(points, cs, 2000, c.cfg.seed)
-	default:
-		return criteria.BICK(points, cs)
+	var rows []vec.Vector
+	var scratch vec.AssignScratch
+	for _, sp := range splits {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ps, err := env.FS.OpenSplitPoints(sp, env.Dim)
+		if err != nil {
+			return nil, err
+		}
+		col := ps.Columns()
+		for i, pack := range packs {
+			idx, _ := pack.NearestColumns(col.Flat(), col.Len(), &scratch)
+			for _, a := range idx {
+				cs[i].Sizes[a]++
+				if keepRows {
+					cs[i].Assignment = append(cs[i].Assignment, int(a))
+				}
+			}
+		}
+		if keepRows {
+			for j := 0; j < ps.Len(); j++ {
+				rows = append(rows, ps.At(j))
+			}
+		}
 	}
+	return rows, nil
 }
 
 func (c *Clusterer) runSeqGMeans(ctx context.Context, src DataSource) (*Result, error) {

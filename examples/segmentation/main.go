@@ -79,8 +79,8 @@ func main() {
 	}
 	elbow, _ := criteria.ElbowK(cs)
 	sil, _ := criteria.SilhouetteK(points, cs, 1500, 1)
-	jump, _ := criteria.JumpK(points, cs)
-	bic, _ := criteria.BICK(points, cs)
+	jump, _ := criteria.JumpK(cs, len(points), len(points[0]))
+	bic, _ := criteria.BICK(cs, len(points), len(points[0]))
 	fmt.Printf("sweep-based criteria: elbow=%d silhouette=%d jump=%d bic=%d\n", elbow, sil, jump, bic)
 	fmt.Println("(each of those required clustering for every candidate k — the n·k² cost G-means avoids)")
 

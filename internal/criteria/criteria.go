@@ -20,18 +20,35 @@ import (
 // values to compare.
 var ErrNeedTwoK = errors.New("criteria: need results for at least two values of k")
 
-// Clustering bundles one candidate clustering (for a given k) with the data
-// it partitions, as produced by multi-k-means or repeated Lloyd runs.
+// Clustering bundles one candidate clustering (for a given k) with the
+// statistics the criteria read, as produced by multi-k-means or repeated
+// Lloyd runs. Each criterion documents which fields it needs: elbow and
+// jump read only WCSS, BIC and AIC read WCSS and Sizes, silhouette and
+// Dunn read the Assignment of the points they are given.
 type Clustering struct {
 	K          int
 	Centers    []vec.Vector
 	Assignment []int
-	WCSS       float64
+	// Sizes holds the number of points assigned to each of the K centers.
+	Sizes []int
+	WCSS  float64
 }
 
 // FromResult adapts a lloyd.Result into a Clustering.
 func FromResult(r *lloyd.Result) Clustering {
-	return Clustering{K: len(r.Centers), Centers: r.Centers, Assignment: r.Assignment, WCSS: r.WCSS}
+	k := len(r.Centers)
+	return Clustering{K: k, Centers: r.Centers, Assignment: r.Assignment,
+		Sizes: ClusterSizes(r.Assignment, k), WCSS: r.WCSS}
+}
+
+// ClusterSizes counts the points of an assignment per cluster index in
+// [0, k).
+func ClusterSizes(assignment []int, k int) []int {
+	sizes := make([]int, k)
+	for _, a := range assignment {
+		sizes[a]++
+	}
+	return sizes
 }
 
 // TotalSS returns the total sum of squares of the dataset around its global
@@ -59,10 +76,15 @@ func VarianceExplained(points []vec.Vector, c Clustering) float64 {
 }
 
 // ElbowK picks k by the elbow criterion, using the drop-ratio form: the k
-// that maximizes (W_{k-1} − W_k) / (W_k − W_{k+1}), i.e. the point where a
+// that maximizes (W_{k-1} − W_k) / (W_k − W_j), i.e. the point where a
 // large real improvement is followed by only marginal gains. This variant
 // is robust to the geometric decay of WCSS that defeats the raw
-// second-difference rule. The input must be ordered by ascending K with
+// second-difference rule. W_j is the first later candidate that improves
+// on W_k — W_{k+1} on a decreasing curve. A k-means local optimum can make
+// WCSS rise from one k to the next; measuring the next gain across the
+// rise keeps it from reading as "no further gain" and posing as a knee.
+// When no later candidate improves on W_k the next gain is zero. The
+// input only needs WCSS and must be ordered by ascending K with
 // consecutive candidates.
 func ElbowK(cs []Clustering) (int, error) {
 	if len(cs) < 3 {
@@ -77,8 +99,14 @@ func ElbowK(cs []Clustering) (int, error) {
 	bestK, bestRatio := cs[1].K, math.Inf(-1)
 	for i := 1; i < len(cs)-1; i++ {
 		gain := cs[i-1].WCSS - cs[i].WCSS
-		next := cs[i].WCSS - cs[i+1].WCSS
-		ratio := gain / (math.Max(next, 0) + eps)
+		next := 0.0
+		for _, later := range cs[i+1:] {
+			if later.WCSS < cs[i].WCSS {
+				next = cs[i].WCSS - later.WCSS
+				break
+			}
+		}
+		ratio := gain / (next + eps)
 		if ratio > bestRatio {
 			bestRatio, bestK = ratio, cs[i].K
 		}
@@ -290,19 +318,20 @@ func GapK(points []vec.Vector, cs []Clustering, b int, seed int64) (int, error) 
 
 // JumpK implements Sugar & James' jump method: distortions d_k = WCSS/(n·p)
 // are raised to the power −p/2 (the recommended transformation) and the k
-// with the largest jump d_k^{-p/2} − d_{k-1}^{-p/2} wins. The candidate
-// list must be ordered by ascending k, ideally starting at k=1.
-func JumpK(points []vec.Vector, cs []Clustering) (int, error) {
+// with the largest jump d_k^{-p/2} − d_{k-1}^{-p/2} wins. It reads only
+// each candidate's WCSS, the point count n and the dimensionality dim. The
+// candidate list must be ordered by ascending k, ideally starting at k=1.
+func JumpK(cs []Clustering, n, dim int) (int, error) {
 	if len(cs) < 2 {
 		return 0, ErrNeedTwoK
 	}
-	p := float64(len(points[0]))
-	n := float64(len(points))
+	p := float64(dim)
+	nf := float64(n)
 	y := -p / 2
 	prev := 0.0 // d_0^{-p/2} is defined as 0
 	bestK, bestJump := 0, math.Inf(-1)
 	for _, c := range cs {
-		d := c.WCSS / (n * p)
+		d := c.WCSS / (nf * p)
 		var t float64
 		if d > 0 {
 			t = math.Pow(d, y)
@@ -318,19 +347,21 @@ func JumpK(points []vec.Vector, cs []Clustering) (int, error) {
 	return bestK, nil
 }
 
-// BIC scores a clustering under the spherical-Gaussian model of Pelleg &
-// Moore's X-means: higher is better. It is exposed here because BIC is also
-// a usable "pick k" criterion over multi-k-means output.
-func BIC(points []vec.Vector, c Clustering) float64 {
-	n := float64(len(points))
+// BIC scores a clustering of n points of dimensionality dim under the
+// spherical-Gaussian model of Pelleg & Moore's X-means: higher is better.
+// It reads only the clustering's WCSS and per-cluster Sizes. It is exposed
+// here because BIC is also a usable "pick k" criterion over
+// multi-k-means output.
+func BIC(c Clustering, n, dim int) float64 {
 	if n == 0 || c.K == 0 {
 		return math.Inf(-1)
 	}
-	d := float64(len(points[0]))
+	nf := float64(n)
+	d := float64(dim)
 	k := float64(c.K)
 	// Maximum-likelihood variance estimate under identical spherical
 	// covariance across clusters.
-	denom := n - k
+	denom := nf - k
 	if denom <= 0 {
 		denom = 1
 	}
@@ -338,30 +369,28 @@ func BIC(points []vec.Vector, c Clustering) float64 {
 	if sigma2 <= 0 {
 		sigma2 = math.SmallestNonzeroFloat64
 	}
-	sizes := make([]float64, c.K)
-	for _, a := range c.Assignment {
-		sizes[a]++
-	}
 	var ll float64
-	for _, ni := range sizes {
-		if ni == 0 {
+	for _, size := range c.Sizes {
+		if size == 0 {
 			continue
 		}
-		ll += ni*math.Log(ni) - ni*math.Log(n) -
+		ni := float64(size)
+		ll += ni*math.Log(ni) - ni*math.Log(nf) -
 			ni*d/2*math.Log(2*math.Pi*sigma2) - (ni-1)*d/2
 	}
 	params := k * (d + 1) // centers + shared variance per cluster (X-means counting)
-	return ll - params/2*math.Log(n)
+	return ll - params/2*math.Log(nf)
 }
 
-// BICK picks the candidate with the highest BIC score.
-func BICK(points []vec.Vector, cs []Clustering) (int, error) {
+// BICK picks the candidate with the highest BIC score over n points of
+// dimensionality dim.
+func BICK(cs []Clustering, n, dim int) (int, error) {
 	if len(cs) < 2 {
 		return 0, ErrNeedTwoK
 	}
 	bestK, best := 0, math.Inf(-1)
 	for _, c := range cs {
-		if s := BIC(points, c); s > best {
+		if s := BIC(c, n, dim); s > best {
 			best, bestK = s, c.K
 		}
 	}
@@ -369,17 +398,15 @@ func BICK(points []vec.Vector, cs []Clustering) (int, error) {
 }
 
 // AIC scores a clustering with the Akaike information criterion under the
-// same model as BIC. Higher is better.
-func AIC(points []vec.Vector, c Clustering) float64 {
-	n := float64(len(points))
+// same model and inputs as BIC. Higher is better.
+func AIC(c Clustering, n, dim int) float64 {
 	if n == 0 || c.K == 0 {
 		return math.Inf(-1)
 	}
-	d := float64(len(points[0]))
-	bic := BIC(points, c)
+	bic := BIC(c, n, dim)
 	// Recover log-likelihood from BIC and re-penalize: AIC = ll − params.
-	params := float64(c.K) * (d + 1)
-	ll := bic + params/2*math.Log(n)
+	params := float64(c.K) * float64(dim+1)
+	ll := bic + params/2*math.Log(float64(n))
 	return ll - params
 }
 

@@ -2,6 +2,7 @@ package criteria
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gmeansmr/internal/dataset"
@@ -78,6 +79,68 @@ func TestElbowFindsTrueK(t *testing.T) {
 func TestElbowNeedsThree(t *testing.T) {
 	if _, err := ElbowK([]Clustering{{K: 1}, {K: 2}}); err == nil {
 		t.Error("ElbowK accepted two candidates")
+	}
+}
+
+// wcssCurve wraps a WCSS curve for k = 1..len(w) as candidates.
+func wcssCurve(w []float64) []Clustering {
+	cs := make([]Clustering, len(w))
+	for i, v := range w {
+		cs[i] = Clustering{K: i + 1, WCSS: v}
+	}
+	return cs
+}
+
+// TestElbowSkipsRiseFromLocalOptimum is the regression test for a false
+// knee: multi-k-means over 16 true clusters hit a k-means local optimum
+// that made WCSS rise from k=4 to k=5 (8.4e8 → 9.4e8). Clamping that
+// negative next gain to zero made k=4 look like a knee followed by no
+// further gain at all, and elbow chose 4 although WCSS drops 17× at 16.
+func TestElbowSkipsRiseFromLocalOptimum(t *testing.T) {
+	w := []float64{1.4e10, 6e9, 2.5e9, 8.4e8, 9.4e8, 7.0e8, 6.0e8, 5.2e8,
+		4.5e8, 3.9e8, 3.3e8, 2.8e8, 2.3e8, 1.8e8, 1.3e8, 7.6e6}
+	for k := 17; k <= 32; k++ {
+		w = append(w, 7.6e6-float64(k-16)*2e5)
+	}
+	k, err := ElbowK(wcssCurve(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != 16 {
+		t.Errorf("ElbowK = %d, want the true knee 16", k)
+	}
+}
+
+// TestElbowUnchangedOnDecreasingCurves pins that measuring the next gain
+// to the next improving candidate changes nothing where every candidate
+// improves on the last: the choice equals the plain drop-ratio rule's.
+func TestElbowUnchangedOnDecreasingCurves(t *testing.T) {
+	plain := func(cs []Clustering) int {
+		eps := cs[0].WCSS * 1e-12
+		bestK, best := cs[1].K, math.Inf(-1)
+		for i := 1; i < len(cs)-1; i++ {
+			r := (cs[i-1].WCSS - cs[i].WCSS) / (cs[i].WCSS - cs[i+1].WCSS + eps)
+			if r > best {
+				best, bestK = r, cs[i].K
+			}
+		}
+		return bestK
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		w := make([]float64, 3+rng.Intn(30))
+		w[0] = 1e3 + rng.Float64()*1e9
+		for i := 1; i < len(w); i++ {
+			w[i] = w[i-1] * (0.05 + 0.9*rng.Float64())
+		}
+		cs := wcssCurve(w)
+		got, err := ElbowK(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := plain(cs); got != want {
+			t.Fatalf("trial %d: ElbowK = %d, drop-ratio rule = %d on %v", trial, got, want, w)
+		}
 	}
 }
 
@@ -179,7 +242,7 @@ func TestGapStatisticShape(t *testing.T) {
 func TestJumpFindsTrueK(t *testing.T) {
 	ds := trueKData(t, 4, 9)
 	cs := clusteringsFor(t, ds.Points, 7)
-	k, err := JumpK(ds.Points, cs)
+	k, err := JumpK(cs, len(ds.Points), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +254,7 @@ func TestJumpFindsTrueK(t *testing.T) {
 func TestBICFindsTrueK(t *testing.T) {
 	ds := trueKData(t, 3, 10)
 	cs := clusteringsFor(t, ds.Points, 6)
-	k, err := BICK(ds.Points, cs)
+	k, err := BICK(cs, len(ds.Points), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +266,8 @@ func TestBICFindsTrueK(t *testing.T) {
 func TestBICPrefersTrueStructure(t *testing.T) {
 	ds := trueKData(t, 3, 11)
 	cs := clusteringsFor(t, ds.Points, 6)
-	bic3 := BIC(ds.Points, cs[2])
-	bic1 := BIC(ds.Points, cs[0])
+	bic3 := BIC(cs[2], len(ds.Points), 2)
+	bic1 := BIC(cs[0], len(ds.Points), 2)
 	if bic3 <= bic1 {
 		t.Errorf("BIC(k=3)=%v should beat BIC(k=1)=%v on 3-cluster data", bic3, bic1)
 	}
@@ -215,8 +278,8 @@ func TestAICPenalizesLessThanBIC(t *testing.T) {
 	cs := clusteringsFor(t, ds.Points, 6)
 	// For large n, BIC's log(n)/2 penalty exceeds AIC's 1 per parameter, so
 	// AIC(k) − AIC(1) ≥ BIC(k) − BIC(1) for k > 1.
-	dAIC := AIC(ds.Points, cs[5]) - AIC(ds.Points, cs[0])
-	dBIC := BIC(ds.Points, cs[5]) - BIC(ds.Points, cs[0])
+	dAIC := AIC(cs[5], len(ds.Points), 2) - AIC(cs[0], len(ds.Points), 2)
+	dBIC := BIC(cs[5], len(ds.Points), 2) - BIC(cs[0], len(ds.Points), 2)
 	if dAIC < dBIC {
 		t.Errorf("AIC delta %v should be ≥ BIC delta %v", dAIC, dBIC)
 	}
@@ -234,10 +297,10 @@ func TestSelectorsNeedTwo(t *testing.T) {
 	if _, err := GapK(pts, one, 2, 1); err == nil {
 		t.Error("GapK accepted one candidate")
 	}
-	if _, err := JumpK(pts, one); err == nil {
+	if _, err := JumpK(one, len(pts), 1); err == nil {
 		t.Error("JumpK accepted one candidate")
 	}
-	if _, err := BICK(pts, one); err == nil {
+	if _, err := BICK(one, len(pts), 1); err == nil {
 		t.Error("BICK accepted one candidate")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +76,27 @@ func TestHistogramQuantiles(t *testing.T) {
 	h2.Observe(math.NaN())
 	if h2.Count() != 1 {
 		t.Errorf("NaN was recorded")
+	}
+}
+
+// TestMicroLatencyBucketsResolveMicroseconds pins the reason the
+// microsecond bounds exist: a 2-µs operation must not read as the 50-µs
+// midpoint of the default first bucket.
+func TestMicroLatencyBucketsResolveMicroseconds(t *testing.T) {
+	r := NewRegistry()
+	micro := r.Histogram("micro", MicroLatencyBuckets)
+	def := r.Histogram("default", nil)
+	for _, h := range []*Histogram{micro, def} {
+		h.Observe(2e-6)
+	}
+	if p := micro.P50(); p >= 1e-4 {
+		t.Errorf("micro-bucket p50 of a 2µs observation = %g s, want below 100µs", p)
+	}
+	if p := def.P50(); p < 4e-5 {
+		t.Errorf("default-bucket p50 = %g s; the default bounds were expected to start at 100µs", p)
+	}
+	if !slices.IsSorted(MicroLatencyBuckets) || MicroLatencyBuckets[len(MicroLatencyBuckets)-1] != 10 {
+		t.Errorf("MicroLatencyBuckets must be ascending and end at 10s: %v", MicroLatencyBuckets)
 	}
 }
 

@@ -91,6 +91,14 @@ var DefLatencyBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// MicroLatencyBuckets extend DefLatencyBuckets two decades down, to 1µs,
+// for operations that often finish in microseconds (a single in-memory
+// assignment): with the default bounds all of them would land in the
+// first bucket and every quantile would read about 50µs.
+var MicroLatencyBuckets = append([]float64{
+	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
+}, DefLatencyBuckets...)
+
 // Histogram is a fixed-bucket histogram. Observations land in the first
 // bucket whose upper bound is >= the value; values above every bound land
 // in the implicit +Inf bucket. Observe is lock-free.

@@ -70,6 +70,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAssignHistogramsResolveMicroseconds checks that both assign
+// latency histograms use microsecond bounds: a 2-µs singleton assignment
+// must read below 100µs at p50 rather than the default first bucket's
+// 50-µs midpoint.
+func TestAssignHistogramsResolveMicroseconds(t *testing.T) {
+	s := newServer(t, gridModel(t, 3, 0), Options{})
+	for _, name := range []string{"serve_assign_seconds", "serve_assign_batch_seconds"} {
+		h := s.Metrics().Histogram(name, nil)
+		h.Observe(2e-6)
+		if p := h.P50(); p >= 1e-4 {
+			t.Errorf("%s p50 of a 2µs observation = %g s, want below 100µs", name, p)
+		}
+	}
+}
+
 // TestHealthzShape pins the enriched /healthz JSON: liveness plus uptime,
 // model provenance and link-time build identification.
 func TestHealthzShape(t *testing.T) {

@@ -285,8 +285,8 @@ func New(m *model.Model, opts Options) (*Server, error) {
 		reg:      obs.NewRegistry(),
 		started:  time.Now(),
 	}
-	s.assignHist = s.reg.Histogram("serve_assign_seconds", nil)
-	s.batchHist = s.reg.Histogram("serve_assign_batch_seconds", nil)
+	s.assignHist = s.reg.Histogram("serve_assign_seconds", obs.MicroLatencyBuckets)
+	s.batchHist = s.reg.Histogram("serve_assign_batch_seconds", obs.MicroLatencyBuckets)
 	s.inflight = s.reg.Gauge("serve_inflight_requests")
 	s.requests = s.reg.Counter("serve_requests_total")
 	s.swaps = s.reg.Counter("serve_model_swaps_total")

@@ -167,16 +167,15 @@ func RunContext(ctx context.Context, points []vec.Vector, cfg Config) (*Result, 
 func scoreModel(points []vec.Vector, centers []vec.Vector, useAIC bool) float64 {
 	assign := lloyd.Assign(points, centers)
 	c := criteria.Clustering{
-		K:          len(centers),
-		Centers:    centers,
-		Assignment: assign,
-		WCSS:       lloyd.WCSS(points, centers, assign),
+		K:     len(centers),
+		Sizes: criteria.ClusterSizes(assign, len(centers)),
+		WCSS:  lloyd.WCSS(points, centers, assign),
 	}
 	if len(points) <= len(centers) {
 		return math.Inf(-1)
 	}
 	if useAIC {
-		return criteria.AIC(points, c)
+		return criteria.AIC(c, len(points), len(points[0]))
 	}
-	return criteria.BIC(points, c)
+	return criteria.BIC(c, len(points), len(points[0]))
 }

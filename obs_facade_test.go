@@ -12,12 +12,13 @@ import (
 // chromeTraceFile mirrors the Chrome trace-event format WithTrace writes.
 type chromeTraceFile struct {
 	TraceEvents []struct {
-		Name string  `json:"name"`
-		Cat  string  `json:"cat"`
-		Ph   string  `json:"ph"`
-		TS   float64 `json:"ts"`
-		Dur  float64 `json:"dur"`
-		PID  int     `json:"pid"`
+		Name string         `json:"name"`
+		Cat  string         `json:"cat"`
+		Ph   string         `json:"ph"`
+		TS   float64        `json:"ts"`
+		Dur  float64        `json:"dur"`
+		PID  int            `json:"pid"`
+		Args map[string]any `json:"args"`
 	} `json:"traceEvents"`
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
@@ -97,6 +98,51 @@ func TestWithTracePhaseSpansSumToWallTime(t *testing.T) {
 	}
 	if len(log.Events) != len(out.TraceEvents) {
 		t.Errorf("event log has %d spans, chrome trace has %d", len(log.Events), len(out.TraceEvents))
+	}
+}
+
+// TestWithTraceMultiKPhaseSpansSumToWallTime extends the trace gate to
+// multi-k-means with a criterion that reads the data: stage, init,
+// iter-N, evaluate, select and finalize must account for the run's wall
+// time within 5%, and the select span must name its criterion and the
+// one dataset read it made.
+func TestWithTraceMultiKPhaseSpansSumToWallTime(t *testing.T) {
+	ds := mixturePoints(t, 4, 4, 4000, 3)
+	var chrome bytes.Buffer
+	c, err := New(WithAlgorithm(AlgorithmMultiK), WithKRange(1, 6, 1),
+		WithCriterion(CriterionSilhouette), WithSeed(3), WithTrace(&chrome))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), FromPoints(ds.Points)); err != nil {
+		t.Fatal(err)
+	}
+	var out chromeTraceFile
+	if err := json.Unmarshal(chrome.Bytes(), &out); err != nil {
+		t.Fatalf("WithTrace output is not valid Chrome-trace JSON: %v", err)
+	}
+	var runDur, phaseSum float64 // µs
+	selects := 0
+	for _, ev := range out.TraceEvents {
+		switch {
+		case ev.Cat == "run" && ev.Name == "clusterer-run":
+			runDur = ev.Dur
+		case ev.Cat == "phase":
+			phaseSum += ev.Dur
+			if ev.Name == "select" {
+				selects++
+				if ev.Args["criterion"] != string(CriterionSilhouette) || ev.Args["dataset_reads"] != 1.0 {
+					t.Errorf("select span args = %v, want criterion silhouette and 1 dataset read", ev.Args)
+				}
+			}
+		}
+	}
+	if runDur == 0 || selects != 1 {
+		t.Fatalf("trace has run span %v µs and %d select spans, want one each", runDur, selects)
+	}
+	if phaseSum < 0.95*runDur || phaseSum > 1.05*runDur {
+		t.Errorf("phase spans sum to %.0f µs, run wall is %.0f µs (ratio %.3f, want within 5%%)",
+			phaseSum, runDur, phaseSum/runDur)
 	}
 }
 
